@@ -102,13 +102,9 @@ func FeasibleCutoffRange(lambda float64, size dist.Distribution) (cLo, cHi float
 // meanSlowdownAt evaluates the 2-host SITA mean slowdown at cutoff c,
 // returning +Inf outside the feasible region.
 func meanSlowdownAt(lambda float64, size dist.Distribution, c float64) float64 {
-	r := NewSITA(lambda, size, []float64{c}).Analyze()
-	for _, h := range r.Hosts {
-		if h.Load >= 1 {
-			return math.Inf(1)
-		}
-	}
-	return r.MeanSlowdown
+	cuts := []float64{c}
+	hosts := [2]hostMean{hostMeanAt(lambda, size, cuts, 0), hostMeanAt(lambda, size, cuts, 1)}
+	return meanSlowdown(hosts[:])
 }
 
 // OptimalCutoff returns the SITA-U-opt cutoff: the feasible cutoff
@@ -163,13 +159,13 @@ func OptimalCutoff(lambda float64, size dist.Distribution) (float64, error) {
 // hostSlowdowns evaluates the short- and long-host mean slowdowns at cutoff
 // c. A host with no probability mass has slowdown 1 (its queue is empty).
 func hostSlowdowns(lambda float64, size dist.Distribution, c float64) (short, long float64) {
-	hosts := NewSITA(lambda, size, []float64{c}).HostAnalysis()
+	cuts := []float64{c}
 	short, long = 1, 1
-	if hosts[0].JobFraction > 0 {
-		short = hosts[0].MeanSlowdown
+	if h := hostMeanAt(lambda, size, cuts, 0); h.mass > 0 {
+		short = h.slowdown
 	}
-	if hosts[1].JobFraction > 0 {
-		long = hosts[1].MeanSlowdown
+	if h := hostMeanAt(lambda, size, cuts, 1); h.mass > 0 {
+		long = h.slowdown
 	}
 	return short, long
 }

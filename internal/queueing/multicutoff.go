@@ -28,21 +28,15 @@ func EqualLoadCutoffs(size dist.Distribution, h int) ([]float64, error) {
 	return cuts, nil
 }
 
-// systemMeanSlowdown evaluates an h-host SITA system, +Inf when any host is
-// unstable or the cutoffs are not strictly ascending.
-func systemMeanSlowdown(lambda float64, size dist.Distribution, cuts []float64) float64 {
+// ascending reports whether cuts strictly ascend; the objectives are +Inf
+// elsewhere.
+func ascending(cuts []float64) bool {
 	for i := 1; i < len(cuts); i++ {
 		if cuts[i] <= cuts[i-1] {
-			return math.Inf(1)
+			return false
 		}
 	}
-	r := NewSITA(lambda, size, cuts).Analyze()
-	for _, hm := range r.Hosts {
-		if hm.Load >= 1 {
-			return math.Inf(1)
-		}
-	}
-	return r.MeanSlowdown
+	return true
 }
 
 // OptimalCutoffs returns SITA-U-opt cutoffs for h hosts by cyclic coordinate
@@ -61,11 +55,24 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 		return []float64{c}, nil
 	}
 	lo, hi := supportBounds(size)
-	cuts, err := EqualLoadCutoffs(size, h)
+	start, err := EqualLoadCutoffs(size, h)
 	if err != nil {
 		return nil, err
 	}
-	best := systemMeanSlowdown(lambda, size, cuts)
+	if !ascending(start) {
+		return nil, fmt.Errorf("%w: equal-load start infeasible for h=%d", ErrInfeasible, h)
+	}
+	// The descent moves cuts, NewSITA's private copy, in place and caches
+	// every host's mean-only evaluation: moving cutoff i changes only the
+	// hosts it bounds, i and i+1, and meanSlowdown re-adds the cached terms
+	// in host order, so each objective value is bit-identical to a full
+	// Analyze.
+	cuts := NewSITA(lambda, size, start).Cutoffs
+	hosts := make([]hostMean, h)
+	for k := range hosts {
+		hosts[k] = hostMeanAt(lambda, size, cuts, k)
+	}
+	best := meanSlowdown(hosts)
 	if math.IsInf(best, 1) {
 		return nil, fmt.Errorf("%w: equal-load start infeasible for h=%d", ErrInfeasible, h)
 	}
@@ -86,10 +93,14 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 				continue
 			}
 			f := func(lc float64) float64 {
-				old := cuts[i]
+				old, hOld, hNext := cuts[i], hosts[i], hosts[i+1]
 				cuts[i] = math.Exp(lc)
-				v := systemMeanSlowdown(lambda, size, cuts)
-				cuts[i] = old
+				v := math.Inf(1)
+				if ascending(cuts) {
+					hosts[i], hosts[i+1] = hostMeanAt(lambda, size, cuts, i), hostMeanAt(lambda, size, cuts, i+1)
+					v = meanSlowdown(hosts)
+				}
+				cuts[i], hosts[i], hosts[i+1] = old, hOld, hNext
 				return v
 			}
 			// Coarse grid to escape local flats, then golden-section.
@@ -123,6 +134,7 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 			}
 			if bestV < best-1e-12*math.Abs(best) {
 				cuts[i] = math.Exp(bestL)
+				hosts[i], hosts[i+1] = hostMeanAt(lambda, size, cuts, i), hostMeanAt(lambda, size, cuts, i+1)
 				best = bestV
 				improved = true
 			}
@@ -151,17 +163,14 @@ func FairCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, erro
 	}
 	lo, hi := supportBounds(size)
 
-	// hostSlowdown evaluates host (prev, c] under total rate lambda.
+	// hostSlowdown evaluates host (prev, c] under total rate lambda; a host
+	// whose interval has (numerically) zero mass has an empty queue, so its
+	// slowdown is 1.
 	hostSlowdown := func(prev, c float64) float64 {
-		mass := dist.Prob(size, prev, c)
-		if mass <= 1e-15 {
-			return 1
+		if h := intervalMean(lambda, size, prev, c); h.mass != 0 {
+			return h.slowdown
 		}
-		q := MG1{Lambda: lambda * mass, Size: dist.NewTruncated(size, prev, c)}
-		if !q.Stable() {
-			return math.Inf(1)
-		}
-		return q.MeanSlowdown()
+		return 1
 	}
 
 	// cutsForTau builds h-1 cutoffs so hosts 1..h-1 each hit slowdown tau;

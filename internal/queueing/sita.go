@@ -35,9 +35,11 @@ func NewSITA(lambda float64, size dist.Distribution, cutoffs []float64) SITA {
 // Hosts reports the number of hosts (len(Cutoffs)+1).
 func (s SITA) Hosts() int { return len(s.Cutoffs) + 1 }
 
-// interval reports the size interval (lo, hi] served by host i.
-func (s SITA) interval(i int) (lo, hi float64) {
-	suppLo, suppHi := s.Size.Support()
+// interval reports the size interval (lo, hi] served by host i of a SITA
+// system over size with the given cutoffs. It takes the fields rather than
+// a SITA so that the cutoffs of the mean-only objectives stay on the stack.
+func interval(size dist.Distribution, cutoffs []float64, i int) (lo, hi float64) {
+	suppLo, suppHi := size.Support()
 	lo = suppLo - 1 // strictly below the support so the first interval catches the minimum
 	if lo < 0 {
 		lo = 0 // job sizes are positive
@@ -47,10 +49,10 @@ func (s SITA) interval(i int) (lo, hi float64) {
 	}
 	hi = suppHi
 	if i > 0 {
-		lo = s.Cutoffs[i-1]
+		lo = cutoffs[i-1]
 	}
-	if i < len(s.Cutoffs) {
-		hi = s.Cutoffs[i]
+	if i < len(cutoffs) {
+		hi = cutoffs[i]
 	}
 	return lo, hi
 }
@@ -69,37 +71,83 @@ type HostMetrics struct {
 	VarResponse  float64
 }
 
-// HostAnalysis computes the per-host metrics. Hosts whose size interval has
-// (numerically) zero probability mass report zeros with JobFraction 0.
+// HostAnalysis computes the per-host metrics, each host's from one moment
+// record of its interval. Hosts whose size interval has (numerically) zero
+// probability mass report zeros with JobFraction 0.
 func (s SITA) HostAnalysis() []HostMetrics {
 	out := make([]HostMetrics, s.Hosts())
+	mean := s.Size.Moment(1)
 	for i := range out {
-		lo, hi := s.interval(i)
-		m := HostMetrics{Host: i, Lo: lo, Hi: hi}
-		mass := dist.Prob(s.Size, lo, hi)
-		if mass <= 1e-15 {
-			out[i] = m
-			continue
-		}
-		m.JobFraction = mass
-		work := dist.PartialMoment(s.Size, 1, lo, hi)
-		m.LoadFraction = work / s.Size.Moment(1)
-		m.Load = s.Lambda * work
-		q := MG1{Lambda: s.Lambda * mass, Size: dist.NewTruncated(s.Size, lo, hi)}
-		m.MeanWait = q.MeanWait()
-		m.MeanSlowdown = q.MeanSlowdown()
-		m.VarSlowdown = q.SlowdownVariance()
-		m.MeanResponse = q.MeanResponse()
-		m.VarResponse = q.ResponseVariance()
-		out[i] = m
+		out[i] = s.hostMetrics(i, mean)
 	}
 	return out
 }
 
+// hostMetrics evaluates host i; mean is the whole distribution's E[X].
+func (s SITA) hostMetrics(i int, mean float64) HostMetrics {
+	lo, hi := interval(s.Size, s.Cutoffs, i)
+	m := HostMetrics{Host: i, Lo: lo, Hi: hi}
+	rec := dist.IntervalMoments(s.Size, lo, hi)
+	if rec.Mass <= 1e-15 {
+		return m
+	}
+	m.JobFraction = rec.Mass
+	m.LoadFraction = rec.M1 / mean
+	m.Load = s.Lambda * rec.M1
+	q := newPK(s.Lambda, rec)
+	m.MeanWait = q.meanWait()
+	m.MeanSlowdown = q.meanSlowdown()
+	m.VarSlowdown = q.slowdownVariance()
+	m.MeanResponse = q.meanResponse()
+	m.VarResponse = q.responseVariance()
+	return m
+}
+
+// hostMean is the part of a host's HostMetrics the cutoff objectives read:
+// JobFraction as mass, Load and MeanSlowdown. It is the zero value for a
+// host whose interval has (numerically) zero mass.
+type hostMean struct {
+	mass, load, slowdown float64
+}
+
+// intervalMean evaluates the host serving (lo, hi] under total arrival
+// rate lambda from a mean-only moment record: no variances.
+func intervalMean(lambda float64, size dist.Distribution, lo, hi float64) hostMean {
+	rec := dist.MeanMoments(size, lo, hi)
+	if rec.Mass <= 1e-15 {
+		return hostMean{}
+	}
+	return hostMean{mass: rec.Mass, load: lambda * rec.M1, slowdown: newPK(lambda, rec).meanSlowdown()}
+}
+
+// hostMeanAt evaluates host i of the SITA system (lambda, size, cutoffs)
+// mean-only.
+func hostMeanAt(lambda float64, size dist.Distribution, cutoffs []float64, i int) hostMean {
+	lo, hi := interval(size, cutoffs, i)
+	return intervalMean(lambda, size, lo, hi)
+}
+
+// meanSlowdown is Analyze().MeanSlowdown as the cutoff objectives read it:
+// +Inf when any host's load reaches 1, else the job-weighted host mean
+// slowdowns summed in host order, exactly as Analyze sums them.
+func meanSlowdown(hosts []hostMean) float64 {
+	es := 0.0
+	for _, h := range hosts {
+		if h.load >= 1 {
+			return math.Inf(1)
+		}
+		if h.mass == 0 {
+			continue
+		}
+		es += h.mass * h.slowdown
+	}
+	return es
+}
+
 // Feasible reports whether every host's utilization is below 1.
 func (s SITA) Feasible() bool {
-	for _, m := range s.HostAnalysis() {
-		if m.Load >= 1 {
+	for i := 0; i < s.Hosts(); i++ {
+		if hostMeanAt(s.Lambda, s.Size, s.Cutoffs, i).load >= 1 {
 			return false
 		}
 	}

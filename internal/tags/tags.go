@@ -268,49 +268,66 @@ type HostMetrics struct {
 	MeanWait float64 // FCFS waiting time at this host
 }
 
-// serviceMoment computes E[min(X, hi)^j | X > lo] * P(X > lo):
-// the unnormalized j-th moment of host i's per-visit service time.
-func (a Analysis) serviceMoment(j, lo, hi float64) float64 {
-	_, suppHi := a.Size.Support()
-	finish := dist.PartialMoment(a.Size, j, lo, hi)
-	if hi >= suppHi {
-		return finish
-	}
-	killMass := dist.Prob(a.Size, hi, math.Inf(1))
+// hostState is one host's analytic state, derived from the moment record
+// of its interval (lo, hi] — the jobs that finish on it — and the masses
+// P(X > lo) arriving and P(X > hi) killed.
+type hostState struct {
+	HostMetrics
+	rec dist.Moments // dist.MeanMoments of (lo, hi]
+}
+
+// serviceMoment reports E[min(X, hi)^j | X > lo] * P(X > lo), the
+// unnormalized j-th moment of a host's per-visit service time: the
+// finishing jobs' partial moment finish plus the killed jobs' hi^j.
+func serviceMoment(finish, j, hi, killMass float64) float64 {
 	return finish + math.Pow(hi, j)*killMass
+}
+
+// host evaluates host i; its MeanWait is +Inf when it is unstable.
+func (a Analysis) host(i int) hostState {
+	lo, hi := a.hostEdges(i)
+	rec := dist.MeanMoments(a.Size, lo, hi)
+	surviveMass := 1.0
+	if i > 0 {
+		surviveMass = dist.Prob(a.Size, lo, math.Inf(1))
+	}
+	rate := a.Lambda * surviveMass
+	h := hostState{HostMetrics: HostMetrics{Host: i, Rate: rate}, rec: rec}
+	if surviveMass <= 1e-15 {
+		return h
+	}
+	s1, s2 := rec.M1, rec.M2
+	if _, suppHi := a.Size.Support(); hi < suppHi {
+		killMass := dist.Prob(a.Size, hi, math.Inf(1))
+		s1 = serviceMoment(s1, 1, hi, killMass)
+		s2 = serviceMoment(s2, 2, hi, killMass)
+	}
+	s1 /= surviveMass
+	s2 /= surviveMass
+	h.Load = rate * s1
+	if h.Load >= 1 {
+		h.MeanWait = math.Inf(1)
+	} else {
+		h.MeanWait = rate * s2 / (2 * (1 - h.Load))
+	}
+	return h
+}
+
+// states evaluates every host.
+func (a Analysis) states() []hostState {
+	out := make([]hostState, len(a.Cutoffs)+1)
+	for i := range out {
+		out[i] = a.host(i)
+	}
+	return out
 }
 
 // Hosts evaluates every host's arrival rate, load and mean wait; a host is
 // reported with MeanWait = +Inf when unstable.
 func (a Analysis) Hosts() []HostMetrics {
-	n := len(a.Cutoffs) + 1
-	out := make([]HostMetrics, n)
-	suppLo, _ := a.Size.Support()
-	for i := 0; i < n; i++ {
-		lo, hi := a.hostEdges(i)
-		surviveMass := 1.0
-		if i > 0 {
-			surviveMass = dist.Prob(a.Size, lo, math.Inf(1))
-		}
-		rate := a.Lambda * surviveMass
-		m := HostMetrics{Host: i, Rate: rate}
-		if surviveMass <= 1e-15 {
-			out[i] = m
-			continue
-		}
-		floor := math.Min(suppLo-1, 0)
-		if i > 0 {
-			floor = lo
-		}
-		s1 := a.serviceMoment(1, floor, hi) / surviveMass
-		s2 := a.serviceMoment(2, floor, hi) / surviveMass
-		m.Load = rate * s1
-		if m.Load >= 1 {
-			m.MeanWait = math.Inf(1)
-		} else {
-			m.MeanWait = rate * s2 / (2 * (1 - m.Load))
-		}
-		out[i] = m
+	out := make([]HostMetrics, len(a.Cutoffs)+1)
+	for i := range out {
+		out[i] = a.host(i).HostMetrics
 	}
 	return out
 }
@@ -328,18 +345,19 @@ func (a Analysis) Feasible() bool {
 // MeanSlowdown evaluates the job-average expected slowdown: a job finishing
 // on host i experienced sum_{j<i}(W_j + s_j) + W_i + x, so
 // E[S | class i] = 1 + (sum_{j<i}(W_j + s_j) + W_i) * E[1/X | class i].
-func (a Analysis) MeanSlowdown() float64 {
-	hosts := a.Hosts()
+func (a Analysis) MeanSlowdown() float64 { return a.meanSlowdown(a.states()) }
+
+// meanSlowdown sums the class terms of MeanSlowdown over evaluated hosts in
+// host order, rebuilding the prefix of earlier hosts' waits and cutoffs.
+func (a Analysis) meanSlowdown(hosts []hostState) float64 {
 	total := 0.0
 	prefix := 0.0 // sum of (W_j + s_j) over earlier hosts
 	for i, h := range hosts {
 		if math.IsInf(h.MeanWait, 1) {
 			return math.Inf(1)
 		}
-		lo, hi := a.hostEdges(i)
-		mass := dist.Prob(a.Size, lo, hi)
-		if mass > 1e-15 {
-			invX := dist.PartialMoment(a.Size, -1, lo, hi) / mass
+		if mass := h.rec.Mass; mass > 1e-15 {
+			invX := h.rec.Inv1 / mass
 			total += mass * (1 + (prefix+h.MeanWait)*invX)
 		}
 		if i < len(a.Cutoffs) {
@@ -351,17 +369,14 @@ func (a Analysis) MeanSlowdown() float64 {
 
 // MeanResponse evaluates the job-average expected response time.
 func (a Analysis) MeanResponse() float64 {
-	hosts := a.Hosts()
 	total := 0.0
 	prefix := 0.0
-	for i, h := range hosts {
+	for i, h := range a.states() {
 		if math.IsInf(h.MeanWait, 1) {
 			return math.Inf(1)
 		}
-		lo, hi := a.hostEdges(i)
-		mass := dist.Prob(a.Size, lo, hi)
-		if mass > 1e-15 {
-			meanX := dist.PartialMoment(a.Size, 1, lo, hi) / mass
+		if mass := h.rec.Mass; mass > 1e-15 {
+			meanX := h.rec.M1 / mass
 			total += mass * (prefix + h.MeanWait + meanX)
 		}
 		if i < len(a.Cutoffs) {
@@ -390,31 +405,44 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 			suppHi = suppLo * 1e18
 		}
 	}
-	objective := func(cuts []float64) float64 {
+	// Start from the SITA equal-load cutoffs scaled up slightly (TAGS wants
+	// higher cutoffs because restarts add load downstream); fall back to a
+	// coarse global grid scan for a feasible start.
+	start := make([]float64, h-1)
+	logLo, logHi := math.Log(suppLo), math.Log(suppHi)
+	for i := range start {
+		start[i] = math.Exp(logLo + (logHi-logLo)*float64(i+1)/float64(h))
+	}
+	// The descent moves an.Cutoffs in place and caches every host's state:
+	// moving cutoff i changes only the hosts it bounds, i and i+1, and
+	// meanSlowdown rebuilds the prefix over the cached hosts in host order,
+	// so each objective value is bit-identical to a fresh Analysis.
+	an := NewAnalysis(lambda, size, start)
+	cuts := an.Cutoffs
+	hosts := an.states()
+	// move sets cutoff i to c and re-evaluates the two hosts it bounds.
+	move := func(i int, c float64) {
+		cuts[i] = c
+		hosts[i], hosts[i+1] = an.host(i), an.host(i+1)
+	}
+	objective := func() float64 {
 		for i := 1; i < len(cuts); i++ {
 			if cuts[i] <= cuts[i-1] {
 				return math.Inf(1)
 			}
 		}
-		return NewAnalysis(lambda, size, cuts).MeanSlowdown()
+		return an.meanSlowdown(hosts)
 	}
-	// Start from the SITA equal-load cutoffs scaled up slightly (TAGS wants
-	// higher cutoffs because restarts add load downstream); fall back to a
-	// coarse global grid scan for a feasible start.
-	cuts := make([]float64, h-1)
-	logLo, logHi := math.Log(suppLo), math.Log(suppHi)
-	for i := range cuts {
-		cuts[i] = math.Exp(logLo + (logHi-logLo)*float64(i+1)/float64(h))
-	}
-	best := objective(cuts)
+	best := objective()
 	if math.IsInf(best, 1) {
 		const scan = 24
 		found := false
 		if h == 2 {
 			for g := 1; g < scan && !found; g++ {
 				c := math.Exp(logLo + (logHi-logLo)*float64(g)/scan)
-				if v := objective([]float64{c}); !math.IsInf(v, 1) {
-					cuts[0], best, found = c, v, true
+				move(0, c)
+				if v := objective(); !math.IsInf(v, 1) {
+					best, found = v, true
 				}
 			}
 		}
@@ -438,21 +466,21 @@ func OptimalCutoffs(lambda float64, size dist.Distribution, h int) ([]float64, e
 				continue
 			}
 			const gridN = 48
-			bestC, bestV := cuts[i], best
+			old := cuts[i]
+			bestC, bestV := old, best
 			for g := 0; g <= gridN; g++ {
 				c := math.Exp(la + (lb-la)*float64(g)/gridN)
-				old := cuts[i]
-				cuts[i] = c
-				v := objective(cuts)
-				cuts[i] = old
-				if v < bestV {
+				move(i, c)
+				if v := objective(); v < bestV {
 					bestC, bestV = c, v
 				}
 			}
 			if bestV < best-1e-12*math.Abs(best) {
-				cuts[i] = bestC
+				move(i, bestC)
 				best = bestV
 				improved = true
+			} else {
+				move(i, old)
 			}
 		}
 		if !improved {

@@ -3,8 +3,9 @@
 #
 # Runs the experiment-level benchmarks the perf PRs track (Table 1, the
 # h-sweep Figure 6, the analytic Figure 9), the per-policy simulator
-# throughput benchmark, and the kernel micro-benchmarks in internal/sim,
-# all with -benchmem so allocs/op regressions are visible.
+# throughput benchmark, the kernel micro-benchmarks in internal/sim, and
+# the analytic-layer benchmarks (partial moments, cutoff searches), all
+# with -benchmem so allocs/op regressions are visible.
 #
 # Usage:
 #   scripts/bench.sh [outfile]        # default /tmp/bench.txt
@@ -48,4 +49,12 @@ count="${BENCH_COUNT:-5}"
     -count "$count" .
   go test -run '^$' -bench 'BenchmarkDirectReplayCore' -benchmem \
     -count "$count" ./internal/server/
+  # Analytic layer: the partial-moment primitive every moment record is
+  # built from (0 allocs/op), and the cutoff searches over the mean-only
+  # objectives (allocs/op is a small per-search constant, independent of
+  # the number of objective evaluations).
+  go test -run '^$' -bench 'BenchmarkPartialMoment' -benchmem -count "$count" \
+    ./internal/dist/
+  go test -run '^$' -bench 'BenchmarkOptimalCutoffs|BenchmarkFairCutoffs' \
+    -benchmem -count "$count" ./internal/queueing/
 } | tee "$out"
