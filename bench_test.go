@@ -99,48 +99,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkManyHosts measures per-arrival host selection as the host
-// count grows: the indexed policies (O(log h) or O(1) via the View argmin
-// queries) against their retained linear-scan references (O(h)). The same
-// trace is re-dispatched at every h, so the jobs/s ratio between
-// <policy> and <policy>-scan at a given h is the fast path's speedup;
-// BENCH_4.json records the medians.
-func BenchmarkManyHosts(b *testing.B) {
-	wl, err := LoadWorkload("psc-c90", 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		build func() Policy
-	}{
-		{"LeastWorkLeft", func() Policy { return policy.NewLeastWorkLeft() }},
-		{"LeastWorkLeft-scan", func() Policy { return policy.NewScanLeastWorkLeft() }},
-		{"ShortestQueue", func() Policy { return policy.NewShortestQueue() }},
-		{"ShortestQueue-scan", func() Policy { return policy.NewScanShortestQueue() }},
-		{"CentralQueue", func() Policy { return policy.NewCentralQueue() }},
-		{"CentralQueue-scan", func() Policy { return policy.NewScanCentralQueue() }},
-	}
-	for _, h := range []int{16, 128, 1024} {
-		jobs := wl.JobsAtLoad(0.7, h, true, 9)
-		if len(jobs) > 20000 {
-			jobs = jobs[:20000]
-		}
-		for _, c := range cases {
-			b.Run(fmt.Sprintf("h%d/%s", h, c.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res := server.Run(jobs, server.Config{Hosts: h, Policy: c.build()})
-					if res.Slowdown.Count() == 0 {
-						b.Fatal("no jobs completed")
-					}
-				}
-				b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-			})
-		}
-	}
-}
-
 // BenchmarkDirectVsEngine measures the oblivious-policy direct-recurrence
 // fast path against the event-heap engine on the same 100k-job C90 stream:
 // identical Run call, identical output bytes (the differential tests prove

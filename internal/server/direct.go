@@ -400,15 +400,18 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 }
 
 // DirectEligible reports whether Run would take the direct path for this
-// configuration: the policy claims obliviousness, no interrupt probe or
-// order check is installed, and the path is globally enabled. Callers
-// that install per-request interrupt probes (internal/service) use this
-// to skip the probe when the run will be too fast to need one.
+// configuration: the policy claims obliviousness and kills no runs, no
+// interrupt probe or order check is installed, and the path is globally
+// enabled. The Lindley recurrence has no kills, so a Killing policy stays
+// on the engine even if it also claims obliviousness. Callers that
+// install per-request interrupt probes (internal/service) use this to
+// skip the probe when the run will be too fast to need one.
 // cfg.OrderCheck asserts event-heap dispatch order, so it pins the run
 // to the engine — which also makes it the per-run engine-forcing knob
 // the property harness uses for heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
-	return cfg.Interrupt == nil && !cfg.OrderCheck && DirectEnabled() && IsOblivious(cfg.Policy)
+	_, kills := cfg.Policy.(Killing)
+	return cfg.Interrupt == nil && !cfg.OrderCheck && !kills && DirectEnabled() && IsOblivious(cfg.Policy)
 }
 
 // RunDirect simulates the job list under an oblivious policy without the

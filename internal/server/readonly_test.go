@@ -10,9 +10,9 @@ import (
 // These tests pin the package's read-only input contract (see the package
 // doc and //sim:readonly): internal/streamcache hands one generated job
 // slice to every policy at a load point, so Run, RunPS, and the TAGS
-// simulator must never write the slice they are given — neither on the
-// ordinal fast path (where renumber returns the input as-is) nor on the
-// renumbering path (which must copy first).
+// simulator must never write the slice they are given — neither when the
+// IDs are already arrival ordinals nor when they must be renumbered
+// (which happens on job values as they are fed, or on a copy).
 
 // TestRunLeavesInputIntact runs every golden scenario's engine entry off
 // one snapshot-checked slice: any mutation of any element fails.
@@ -33,12 +33,12 @@ func TestRunLeavesInputIntact(t *testing.T) {
 	}
 }
 
-// TestRenumberPathLeavesInputIntact feeds non-ordinal IDs so Run takes
-// the renumbering path, which must copy rather than rewrite in place.
+// TestRenumberPathLeavesInputIntact feeds non-ordinal IDs so Run must
+// renumber, which must not rewrite the slice in place.
 func TestRenumberPathLeavesInputIntact(t *testing.T) {
 	shared := goldenJobs(43, 500)
 	for i := range shared {
-		shared[i].ID = 1000 + i // force renumber's copying branch
+		shared[i].ID = 1000 + i // force renumbering
 	}
 	snapshot := append([]workload.Job(nil), shared...)
 

@@ -212,9 +212,10 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 // goroutine. Concurrent Run calls are safe provided each call gets its own
 // cfg.Policy instance (policies are stateful; see Policy) and its own
 // SizeClass func if that func is stateful. The jobs slice is never
-// written (it is copied first when renumbering is needed), so callers may
-// share one job list across concurrent runs — the package's read-only
-// input contract, which internal/streamcache relies on.
+// written (the engine renumbers job values as it feeds them, the direct
+// path copies first when renumbering is needed), so callers may share one
+// job list across concurrent runs — the package's read-only input
+// contract, which internal/streamcache relies on.
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 //
 //sim:entry
@@ -233,9 +234,7 @@ func Run(jobs []workload.Job, cfg Config) *Result {
 //
 //sim:readonly jobs
 func runEngine(jobs []workload.Job, cfg Config) *Result {
-	renumbered := renumber(jobs)
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
-
 	res := newResult(cfg)
 	eng := sim.Acquire()
 	defer sim.Release(eng)
@@ -248,7 +247,7 @@ func runEngine(jobs []workload.Job, cfg Config) *Result {
 	sys := newSystemOn(eng, cfg.Hosts, cfg.Policy, cfg.CentralOrder, func(rec JobRecord) {
 		res.observe(rec, warmup, &cfg)
 	})
-	sys.Simulate(renumbered)
+	sys.Simulate(jobs)
 	res.Interrupted = eng.Interrupted()
 	res.MeanQueueLen = sys.MeanQueueLength()
 	return res

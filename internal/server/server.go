@@ -14,8 +14,9 @@
 // server), always with one engine, one policy, and one Result per cell.
 //
 // Read-only input contract: Run and RunPS never write the jobs slice they
-// are given — when renumbering is needed they copy first (see renumber),
-// and the FCFS and PS systems read job values out of the feed without
+// are given — the FCFS System renumbers each job value as it is fed, the
+// direct and PS paths copy first when renumbering is needed (see
+// renumber), and every path reads job values out of the feed without
 // aliasing slice elements. This is what lets internal/streamcache hand one
 // generated stream to every policy at a load point, copy-free and from
 // many goroutines at once. The contract is enforced by the //sim:readonly
@@ -102,6 +103,23 @@ type View interface {
 type Policy interface {
 	Name() string
 	Assign(job workload.Job, v View) int
+}
+
+// Killing marks a Policy that bounds every run, the TAGS discipline
+// (Harchol-Balter, ICDCS 2000): a run on host i lasts at most
+// KillCutoff(i). A job bigger than that is killed when the budget runs
+// out and restarts from scratch at the back of host i+1's FIFO queue; the
+// work done on host i is lost, and the job's record is emitted only when
+// it finally completes. KillCutoff must be a pure function of the host
+// index and +Inf on the last host; System reads it once per host when it
+// is built.
+//
+// Only the FCFS event-heap System models kills, so DirectEligible is false
+// for a Killing policy; the PS hosts ignore the capability.
+type Killing interface {
+	Policy
+	// KillCutoff reports the longest run host i allows.
+	KillCutoff(i int) float64
 }
 
 // JobRecord is the outcome of one simulated job.
@@ -286,12 +304,14 @@ type System struct {
 	// on a policy's first MinWorkHost/MinJobsHost query, so policies that
 	// never ask pay nothing beyond the bitset. Once active they are
 	// updated incrementally — O(log h) per host state change, no
-	// allocations — by the arrive/depart/startNextCentral transitions.
+	// allocations — by the place/depart/startNextCentral transitions.
 	idle    hostindex.BitSet   // hosts with no jobs at all
 	work    hostindex.TimedMin // hosts keyed by readyAt; drained class = idle
 	jobsIdx hostindex.Tree     // hosts keyed by their job count
 	workOn  bool
 	jobsOn  bool
+
+	killAt []float64 // per-host kill cutoffs of a Killing policy, else nil
 }
 
 // New builds a distributed server with h hosts and the given policy, using
@@ -320,6 +340,12 @@ func newSystemOn(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplet
 		policy:     p,
 		central:    centralQueue{order: order},
 		onComplete: onComplete,
+	}
+	if k, ok := p.(Killing); ok {
+		s.killAt = make([]float64, h)
+		for i := range s.killAt {
+			s.killAt[i] = k.KillCutoff(i)
+		}
 	}
 	s.idle.Reset(h)
 	s.idle.SetAll()
@@ -398,7 +424,9 @@ func (s *System) buildWorkIndex() {
 
 // Simulate runs the full job list through the system and waits for every
 // job to finish. Jobs must be sorted by arrival time; Simulate panics if
-// they are not.
+// they are not. Jobs are renumbered by arrival order as they are fed (the
+// slice itself is never written), so records carry that ordinal as their
+// ID.
 //
 // Arrivals are fed lazily: exactly one arrival event is pending at any
 // instant, and firing it schedules the next, so the event heap stays
@@ -428,6 +456,7 @@ func (s *System) feedNextArrival() {
 		return
 	}
 	j := s.feed[s.feedNext]
+	j.ID = s.feedNext
 	s.engine.ScheduleReserved(j.Arrival, s.feedBase+uint64(s.feedNext), sim.Ev{Kind: evArrival, Job: j})
 	s.feedNext++
 }
@@ -439,7 +468,11 @@ func (s *System) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
 	case evArrival:
 		s.feedNextArrival()
-		s.arrive(ev.Job, now)
+		if idx := s.policy.Assign(ev.Job, s); idx == Central {
+			s.hold(ev.Job, now)
+		} else {
+			s.place(idx, ev.Job, now)
+		}
 	case evDepart:
 		s.depart(int(ev.Host), JobRecord{
 			ID: ev.Job.ID, Host: int(ev.Host),
@@ -449,31 +482,33 @@ func (s *System) HandleEvent(now float64, ev sim.Ev) {
 	}
 }
 
-// arrive routes one job through the policy at its arrival instant.
-// Panics if the policy returns a host outside the valid range, which is a
-// contract violation by the Policy implementation.
+// hold keeps an arriving job at the dispatcher, where a host will pull it
+// when free. If some host is already idle the policy should have returned
+// it, but be robust and drain immediately — the freelist hands out idle
+// hosts lowest-index-first, exactly the order the old full scan used, in
+// O(1) per started job instead of O(h) per arrival.
 //
 //sim:noalloc
-func (s *System) arrive(job workload.Job, now float64) {
-	idx := s.policy.Assign(job, s)
-	if idx == Central {
-		// Hold at the dispatcher; a host will pull it when free. If some
-		// host is already idle the policy should have returned it, but be
-		// robust and drain immediately — the freelist hands out idle hosts
-		// lowest-index-first, exactly the order the old full scan used, in
-		// O(1) per started job instead of O(h) per arrival.
-		s.accrueQueue(now)
-		s.waitingJobs++
-		s.central.Push(job)
-		for s.central.Len() > 0 {
-			i := s.idle.Min()
-			if i < 0 {
-				break
-			}
-			s.startNextCentral(i, now)
+func (s *System) hold(job workload.Job, now float64) {
+	s.accrueQueue(now)
+	s.waitingJobs++
+	s.central.Push(job)
+	for s.central.Len() > 0 {
+		i := s.idle.Min()
+		if i < 0 {
+			break
 		}
-		return
+		s.startNextCentral(i, now)
 	}
+}
+
+// place puts a job on host idx — the policy's pick for an arrival, or the
+// next host for a killed run: into service if the host is idle, else at
+// the back of its FIFO queue. Panics if idx is outside the valid range,
+// which is a contract violation by the Policy implementation.
+//
+//sim:noalloc
+func (s *System) place(idx int, job workload.Job, now float64) {
 	if idx < 0 || idx >= len(s.hosts) {
 		panic(fmt.Sprintf("server: policy %q returned host %d of %d", s.policy.Name(), idx, len(s.hosts)))
 	}
@@ -486,14 +521,27 @@ func (s *System) arrive(job workload.Job, now float64) {
 		s.accrueQueue(now)
 		s.waitingJobs++
 		h.enqueue(job)
-		h.readyAt += job.Size
+		h.readyAt += s.runFor(idx, job.Size)
 		s.noteWork(idx)
 		return
 	}
 	s.idle.Clear(idx)
-	h.readyAt = now + job.Size
+	h.readyAt = now + s.runFor(idx, job.Size)
 	s.noteWork(idx)
 	s.start(idx, job, now)
+}
+
+// runFor reports how long a run of a job of the given size lasts on host
+// idx: its size, or the host's kill cutoff when a killing policy stops it
+// sooner. This budget, not the size, is the work the run adds to the
+// host's backlog.
+//
+//sim:noalloc
+func (s *System) runFor(idx int, size float64) float64 {
+	if s.killAt != nil && size > s.killAt[idx] {
+		return s.killAt[idx]
+	}
+	return size
 }
 
 // start begins service for a job whose work is already accounted in the
@@ -505,16 +553,23 @@ func (s *System) arrive(job workload.Job, now float64) {
 func (s *System) start(idx int, job workload.Job, now float64) {
 	h := &s.hosts[idx]
 	h.running = true
-	s.engine.Schedule(now+job.Size, sim.Ev{Kind: evDepart, Host: int32(idx), T0: now, Job: job})
+	s.engine.Schedule(now+s.runFor(idx, job.Size), sim.Ev{Kind: evDepart, Host: int32(idx), T0: now, Job: job})
 }
 
+// depart ends the run on host idx. A completed job emits its record; a
+// killed one restarts from scratch on host idx+1 *before* host idx pulls
+// its next job, the TAGS scheduling order that fixes event sequence
+// numbers among simultaneous events.
+//
 //sim:noalloc
 func (s *System) depart(idx int, rec JobRecord, now float64) {
 	h := &s.hosts[idx]
 	h.running = false
 	h.jobs--
 	s.noteJobs(idx)
-	if s.onComplete != nil {
+	if s.runFor(idx, rec.Size) < rec.Size {
+		s.place(idx+1, workload.Job{ID: rec.ID, Arrival: rec.Arrival, Size: rec.Size}, now)
+	} else if s.onComplete != nil {
 		s.onComplete(rec)
 	}
 	if h.queued() > 0 {
@@ -544,7 +599,7 @@ func (s *System) startNextCentral(idx int, now float64) {
 	s.idle.Clear(idx)
 	h := &s.hosts[idx]
 	h.jobs++
-	h.readyAt = now + job.Size
+	h.readyAt = now + s.runFor(idx, job.Size)
 	s.noteJobs(idx)
 	s.noteWork(idx)
 	s.start(idx, job, now)

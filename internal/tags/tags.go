@@ -18,7 +18,7 @@ import (
 	"sort"
 
 	"sita/internal/dist"
-	"sita/internal/sim"
+	"sita/internal/server"
 	"sita/internal/stats"
 	"sita/internal/workload"
 )
@@ -34,9 +34,7 @@ type Result struct {
 	TotalWork  float64
 	// PerHostCompleted counts jobs finishing at each host.
 	PerHostCompleted []int64
-	// PerHostBusy accumulates busy time (useful + wasted) per host.
-	PerHostBusy []float64
-	Horizon     float64
+	Horizon          float64
 }
 
 // WasteFraction reports wasted work as a fraction of all work performed.
@@ -48,141 +46,37 @@ func (r *Result) WasteFraction() float64 {
 	return r.WastedWork / done
 }
 
-// Typed-event kinds for the TAGS simulation.
-const (
-	evArrival uint8 = iota + 1 // Ev.Job arrives at Host 1
-	evDone                     // Ev.Job's run on host Ev.Host ends (kill or completion)
-)
+// chain is the TAGS dispatcher on the server engine: every job starts on
+// host 0, and host i kills a run at cutoffs[i]; the last host never kills.
+type chain []float64
 
-// tagsHost is one host's FCFS state; the waiting queue is a head-indexed
-// FIFO over a reusable backing array, like internal/server's hosts.
-type tagsHost struct {
-	queue   []workload.Job
-	head    int
-	running bool
-}
+// Name identifies the policy in reports.
+func (chain) Name() string { return "TAGS" }
 
-func (h *tagsHost) queued() int { return len(h.queue) - h.head }
+// Assign sends every job to the first host.
+func (chain) Assign(workload.Job, server.View) int { return 0 }
 
-func (h *tagsHost) dequeue() workload.Job {
-	j := h.queue[h.head]
-	h.head++
-	if h.head == len(h.queue) {
-		h.queue = h.queue[:0]
-		h.head = 0
+// KillCutoff reports host i's kill cutoff, +Inf on the last host.
+func (c chain) KillCutoff(i int) float64 {
+	if i < len(c) {
+		return c[i]
 	}
-	return j
-}
-
-// tagsSim is the event handler for one TAGS run: lazy arrival feeding plus
-// the kill-and-restart host chain. The run budget of a job on host h is a
-// pure function of (job size, h, cutoffs), so the evDone event recomputes
-// it at fire time instead of carrying it in a closure.
-type tagsSim struct {
-	eng     *sim.Engine
-	cutoffs []float64
-	res     *Result
-	hs      []tagsHost
-	warmup  int
-
-	feed     []workload.Job
-	feedNext int
-	feedBase uint64
-}
-
-// runBudget reports how long a job may run on host h and whether it is
-// killed at that budget.
-func (t *tagsSim) runBudget(h int, job workload.Job) (runFor float64, killed bool) {
-	if h < len(t.cutoffs) && job.Size > t.cutoffs[h] {
-		return t.cutoffs[h], true
-	}
-	return job.Size, false
-}
-
-// start begins a run of job on host h (busy time accrues at start, as the
-// budget is committed).
-func (t *tagsSim) start(h int, job workload.Job, now float64) {
-	t.hs[h].running = true
-	runFor, _ := t.runBudget(h, job)
-	t.res.PerHostBusy[h] += runFor
-	t.eng.ScheduleAfter(runFor, sim.Ev{Kind: evDone, Host: int32(h), Job: job})
-}
-
-// feedNextArrival schedules the next unscheduled arrival, renumbering by
-// arrival order for warmup accounting.
-func (t *tagsSim) feedNextArrival() {
-	if t.feedNext >= len(t.feed) {
-		return
-	}
-	j := t.feed[t.feedNext]
-	j.ID = t.feedNext
-	t.eng.ScheduleReserved(j.Arrival, t.feedBase+uint64(t.feedNext), sim.Ev{Kind: evArrival, Job: j})
-	t.feedNext++
-}
-
-// HandleEvent dispatches the engine's typed events.
-func (t *tagsSim) HandleEvent(now float64, ev sim.Ev) {
-	switch ev.Kind {
-	case evArrival:
-		t.feedNextArrival()
-		if t.hs[0].running || t.hs[0].queued() > 0 {
-			t.hs[0].queue = append(t.hs[0].queue, ev.Job)
-		} else {
-			t.start(0, ev.Job, now)
-		}
-	case evDone:
-		t.done(int(ev.Host), ev.Job, now)
-	}
-}
-
-// done ends a job's run on host h: a kill restarts it from scratch on
-// host h+1, a completion records its statistics; either way the host
-// pulls its next queued job.
-func (t *tagsSim) done(h int, job workload.Job, now float64) {
-	res := t.res
-	runFor, killed := t.runBudget(h, job)
-	t.hs[h].running = false
-	if killed {
-		res.WastedWork += runFor
-		// Restart from scratch on the next host.
-		next := h + 1
-		if t.hs[next].running || t.hs[next].queued() > 0 {
-			t.hs[next].queue = append(t.hs[next].queue, job)
-		} else {
-			t.start(next, job, now)
-		}
-	} else {
-		res.TotalWork += job.Size
-		res.PerHostCompleted[h]++
-		if now > res.Horizon {
-			res.Horizon = now
-		}
-		if job.ID >= t.warmup {
-			response := now - job.Arrival
-			res.Response.Add(response)
-			slow := response / job.Size
-			if slow < 1 {
-				// Floating-point guard: a job served the moment it
-				// arrives can round a hair below its size.
-				slow = 1
-			}
-			res.Slowdown.Add(slow)
-		}
-	}
-	// Pull the next job on this host.
-	if t.hs[h].queued() > 0 {
-		t.start(h, t.hs[h].dequeue(), now)
-	}
+	return math.Inf(1)
 }
 
 // Simulate runs the job list through a TAGS system with the given internal
 // cutoffs (len = hosts-1, ascending; host i kills at cutoffs[i], the last
-// host never kills). Jobs must be sorted by arrival time. warmup is the
-// fraction of jobs (by arrival order) excluded from delay statistics.
-// Panics if the cutoffs do not ascend or the jobs are unsorted.
-// The jobs slice is never written (the feed is read by value), so callers
-// may share one job list across concurrent runs — the same read-only
-// input contract as server.Run.
+// host never kills) on the FCFS server engine. Jobs must be sorted by
+// arrival time. warmup is the fraction of jobs (by arrival order) excluded
+// from delay statistics. A job's response is its departure minus its
+// arrival (server's wait plus size can differ in the last bit, and
+// results/ pins these values), and its wasted work the cutoffs of every
+// host before the one it completes on.
+// Panics if the cutoffs do not ascend, warmup is outside [0, 1), or the
+// jobs are unsorted.
+// The jobs slice is never written, so callers may share one job list
+// across concurrent runs — the same read-only input contract as
+// server.Run.
 //
 //sim:entry
 //sim:readonly jobs
@@ -190,32 +84,35 @@ func Simulate(jobs []workload.Job, cutoffs []float64, warmup float64) *Result {
 	if !sort.Float64sAreSorted(cutoffs) {
 		panic(fmt.Sprintf("tags: cutoffs must ascend, got %v", cutoffs))
 	}
-	prev := 0.0
-	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("tags: job %d arrives at %v before %v", i, j.Arrival, prev))
-		}
-		prev = j.Arrival
+	// Affirmative form so NaN is rejected too.
+	if !(warmup >= 0 && warmup < 1) {
+		panic(fmt.Sprintf("tags: warmup fraction %v outside [0, 1)", warmup))
 	}
 	hosts := len(cutoffs) + 1
-	res := &Result{
-		PerHostCompleted: make([]int64, hosts),
-		PerHostBusy:      make([]float64, hosts),
-	}
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	t := &tagsSim{
-		eng:     eng,
-		cutoffs: cutoffs,
-		res:     res,
-		hs:      make([]tagsHost, hosts),
-		warmup:  int(warmup * float64(len(jobs))),
-		feed:    jobs,
-	}
-	eng.SetHandler(t)
-	t.feedBase = eng.ReserveSeq(len(jobs))
-	t.feedNextArrival()
-	eng.Run()
+	res := &Result{PerHostCompleted: make([]int64, hosts)}
+	skip := int(warmup * float64(len(jobs)))
+	server.New(hosts, chain(cutoffs), func(rec server.JobRecord) {
+		for _, c := range cutoffs[:rec.Host] {
+			res.WastedWork += c
+		}
+		res.TotalWork += rec.Size
+		res.PerHostCompleted[rec.Host]++
+		if rec.Departure > res.Horizon {
+			res.Horizon = rec.Departure
+		}
+		if rec.ID < skip {
+			return
+		}
+		response := rec.Departure - rec.Arrival
+		res.Response.Add(response)
+		slow := response / rec.Size
+		if slow < 1 {
+			// Floating-point guard: a job served the moment it arrives
+			// can round a hair below its size.
+			slow = 1
+		}
+		res.Slowdown.Add(slow)
+	}).Simulate(jobs)
 	return res
 }
 

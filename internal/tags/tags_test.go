@@ -37,9 +37,6 @@ func TestSimulateHandCase(t *testing.T) {
 	if res.PerHostCompleted[0] != 0 || res.PerHostCompleted[1] != 1 {
 		t.Fatalf("completions %v, want [0 1]", res.PerHostCompleted)
 	}
-	if res.PerHostBusy[0] != 10 || res.PerHostBusy[1] != 25 {
-		t.Fatalf("busy %v, want [10 25]", res.PerHostBusy)
-	}
 }
 
 func TestSimulateSmallJobNeverKilled(t *testing.T) {
@@ -211,6 +208,12 @@ func TestSimulateValidation(t *testing.T) {
 		func() {
 			Simulate([]workload.Job{{Arrival: 5}, {Arrival: 1}}, []float64{10}, 0)
 		},
+		// Warmup fractions outside [0, 1), NaN included, are rejected
+		// like server.Run's, not silently clamped to "count every job"
+		// or "count none".
+		func() { Simulate(nil, []float64{10}, math.NaN()) },
+		func() { Simulate(nil, []float64{10}, -0.5) },
+		func() { Simulate(nil, []float64{10}, 1.5) },
 		func() { NewAnalysis(0, dist.NewExponential(1), nil) },
 		func() { NewAnalysis(1, dist.NewExponential(1), []float64{5, 1}) },
 	} {

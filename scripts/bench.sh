@@ -3,9 +3,10 @@
 #
 # Runs the experiment-level benchmarks the perf PRs track (Table 1, the
 # h-sweep Figure 6, the analytic Figure 9), the per-policy simulator
-# throughput benchmark, the kernel micro-benchmarks in internal/sim, and
-# the analytic-layer benchmarks (partial moments, cutoff searches), all
-# with -benchmem so allocs/op regressions are visible.
+# throughput benchmark, the kernel micro-benchmarks in internal/sim, the
+# per-run TAGS benchmark, and the analytic-layer benchmarks (partial
+# moments, cutoff searches), all with -benchmem so allocs/op regressions
+# are visible.
 #
 # Usage:
 #   scripts/bench.sh [outfile]        # default /tmp/bench.txt
@@ -30,7 +31,8 @@ count="${BENCH_COUNT:-5}"
   go test -run '^$' -bench 'BenchmarkSimulatorThroughput' -benchmem -count "$count" .
   # Indexed vs linear-scan host selection at h = 16 / 128 / 1024
   # (<policy> vs <policy>-scan is the O(log h) fast path's speedup).
-  go test -run '^$' -bench 'BenchmarkManyHosts' -benchmem -benchtime 1x -count "$count" .
+  go test -run '^$' -bench 'BenchmarkManyHosts' -benchmem -benchtime 1x -count "$count" \
+    ./internal/policy/
   # Kernel micro-benchmarks: event scheduling, typed events, cancel, reuse.
   go test -run '^$' -bench . -benchmem -count "$count" ./internal/sim/
   # Host-selection index micro-benchmarks (must stay 0 allocs/op).
@@ -49,6 +51,10 @@ count="${BENCH_COUNT:-5}"
     -count "$count" .
   go test -run '^$' -bench 'BenchmarkDirectReplayCore' -benchmem \
     -count "$count" ./internal/server/
+  # One TAGS run on the server engine (C90, 2 hosts, load 0.5); the root
+  # BenchmarkTAGS also times the cutoff search, this one only the run.
+  go test -run '^$' -bench 'BenchmarkSimulate$' -benchmem -count "$count" \
+    ./internal/tags/
   # Analytic layer: the partial-moment primitive every moment record is
   # built from (0 allocs/op), and the cutoff searches over the mean-only
   # objectives (allocs/op is a small per-search constant, independent of
