@@ -411,7 +411,7 @@ func (d *directRunner) nodeLess(a, b int32) bool {
 // the property harness uses for heap-vs-direct comparisons.
 func DirectEligible(cfg Config) bool {
 	_, kills := cfg.Policy.(Killing)
-	return cfg.Interrupt == nil && !cfg.OrderCheck && !kills && DirectEnabled() && IsOblivious(cfg.Policy)
+	return cfg.Interrupt == nil && !cfg.OrderCheck && !kills && directEnabled.Load() && IsOblivious(cfg.Policy)
 }
 
 // RunDirect simulates the job list under an oblivious policy without the

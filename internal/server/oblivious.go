@@ -51,9 +51,6 @@ func init() { directEnabled.Store(true) }
 // byte-identical in both states.
 func SetDirectEnabled(on bool) { directEnabled.Store(on) }
 
-// DirectEnabled reports whether Run may take the direct path.
-func DirectEnabled() bool { return directEnabled.Load() }
-
 // directView is the View handed to claimed-oblivious policies on the
 // direct path. Hosts answers — the host count is configuration, not
 // state — and every state query panics: a policy that claims obliviousness

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"sita/internal/hostindex"
 	"sita/internal/sim"
-	"sita/internal/stats"
 	"sita/internal/workload"
 )
 
@@ -32,7 +30,6 @@ type psHost struct {
 	pending    sim.Handle // scheduled completion of the current minimum
 	engine     *sim.Engine
 	onDone     func(rec JobRecord)
-	workDone   float64
 }
 
 // advance charges elapsed processing time to every resident job.
@@ -95,7 +92,6 @@ func (h *psHost) complete(now float64) {
 	kept := h.jobs[:0]
 	for _, pj := range h.jobs {
 		if pj.remaining <= tol {
-			h.workDone += pj.job.Size
 			// Record Start so that Wait() + Size == Departure - Arrival:
 			// under PS the whole sharing-induced stretch counts as "wait".
 			rec := JobRecord{
@@ -126,60 +122,31 @@ func (h *psHost) add(job workload.Job, now float64) {
 	h.reschedule(now)
 }
 
-// PSSystem is a distributed server whose hosts run Processor-Sharing
+// psSystem is a distributed server whose hosts run Processor-Sharing
 // instead of FCFS run-to-completion. Pull-based policies (Central) are not
 // meaningful under PS — a PS host is never "busy" — so Assign must return a
-// host index.
-type PSSystem struct {
-	engine *sim.Engine
-	hosts  []*psHost
-	policy Policy
-
-	feed     []workload.Job
-	feedNext int
-	feedBase uint64
-
-	// Host-selection indices (see System): the idle freelist is always
-	// maintained, the jobs argmin activates on the first MinJobsHost query.
-	// There is no incremental work index here — see MinWorkHost.
-	idle    hostindex.BitSet
-	jobsIdx hostindex.Tree
-	jobsOn  bool
+// host index. The arrival feed and the occupancy queries (NumJobs, Idle,
+// NextIdleHost, MinJobsHost) are the dispatcher's, shared with System.
+type psSystem struct {
+	dispatcher
+	hosts []psHost
 }
 
-// NewPS builds a PS distributed server.
+// newPSOn wires a psSystem onto an existing engine (fresh or pooled).
 // Panics if h < 1 or p is nil.
-func NewPS(h int, p Policy, onComplete func(JobRecord)) *PSSystem {
-	if h <= 0 {
-		panic(fmt.Sprintf("server: need at least one host, got %d", h))
+func newPSOn(eng *sim.Engine, h int, p Policy, onComplete func(JobRecord)) *psSystem {
+	s := &psSystem{}
+	s.init(eng, h, p, s)
+	s.hosts = make([]psHost, h)
+	for i := range s.hosts {
+		s.hosts[i] = psHost{index: i, engine: eng, onDone: onComplete}
 	}
-	if p == nil {
-		panic("server: nil policy")
-	}
-	return newPSOn(&sim.Engine{}, h, p, onComplete)
-}
-
-// newPSOn wires a PSSystem onto an existing engine (fresh or pooled).
-func newPSOn(eng *sim.Engine, h int, p Policy, onComplete func(JobRecord)) *PSSystem {
-	s := &PSSystem{engine: eng, policy: p}
-	for i := 0; i < h; i++ {
-		s.hosts = append(s.hosts, &psHost{index: i, engine: eng, onDone: onComplete})
-	}
-	s.idle.Reset(h)
-	s.idle.SetAll()
-	eng.SetHandler(s)
 	return s
 }
 
-// Hosts reports the host count.
-func (s *PSSystem) Hosts() int { return len(s.hosts) }
-
-// NumJobs reports jobs resident at host i.
-func (s *PSSystem) NumJobs(i int) int { return len(s.hosts[i].jobs) }
-
 // WorkLeft reports the unfinished work at host i at the current instant.
-func (s *PSSystem) WorkLeft(i int) float64 {
-	h := s.hosts[i]
+func (s *psSystem) WorkLeft(i int) float64 {
+	h := &s.hosts[i]
 	h.advance(s.engine.Now())
 	total := 0.0
 	for _, pj := range h.jobs {
@@ -187,12 +154,6 @@ func (s *PSSystem) WorkLeft(i int) float64 {
 	}
 	return total
 }
-
-// Idle reports whether host i has no jobs.
-func (s *PSSystem) Idle(i int) bool { return len(s.hosts[i].jobs) == 0 }
-
-// NextIdleHost reports the lowest-indexed empty host, or -1.
-func (s *PSSystem) NextIdleHost() int { return s.idle.Min() }
 
 // MinWorkHost reports the host a lowest-index-wins scan of WorkLeft would
 // pick.
@@ -204,11 +165,11 @@ func (s *PSSystem) NextIdleHost() int { return s.idle.Min() }
 // recomputed sum by an ulp and flip an exact tie. PS experiments run at
 // small h (the fairness reference line), so the O(h) scan is not a hot
 // path; the indexed fast path covers the FCFS many-hosts sweeps.
-func (s *PSSystem) MinWorkHost() int { return s.minWorkIn(0, len(s.hosts)) }
+func (s *psSystem) MinWorkHost() int { return s.minWorkIn(0, len(s.hosts)) }
 
 // MinWorkHostIn is MinWorkHost over hosts lo <= i < hi.
 // Panics if the range is empty or out of bounds.
-func (s *PSSystem) MinWorkHostIn(lo, hi int) int {
+func (s *psSystem) MinWorkHostIn(lo, hi int) int {
 	if lo < 0 || hi > len(s.hosts) || lo >= hi {
 		panic(fmt.Sprintf("server: range [%d, %d) invalid for %d hosts", lo, hi, len(s.hosts)))
 	}
@@ -216,7 +177,7 @@ func (s *PSSystem) MinWorkHostIn(lo, hi int) int {
 }
 
 //sim:noalloc
-func (s *PSSystem) minWorkIn(lo, hi int) int {
+func (s *psSystem) minWorkIn(lo, hi int) int {
 	best, bestW := lo, s.WorkLeft(lo)
 	for i := lo + 1; i < hi; i++ {
 		if w := s.WorkLeft(i); w < bestW {
@@ -226,148 +187,37 @@ func (s *PSSystem) minWorkIn(lo, hi int) int {
 	return best
 }
 
-// MinJobsHost reports the host with the fewest resident jobs, ties to the
-// lowest index, from a lazily built incremental index. The first call
-// allocates the index (so no //sim:noalloc here); steady state is
-// allocation-free through the annotated Tree.Update path.
-func (s *PSSystem) MinJobsHost() int {
-	if !s.jobsOn {
-		s.jobsIdx.Reset(len(s.hosts))
-		for i := range s.hosts {
-			s.jobsIdx.Update(i, float64(len(s.hosts[i].jobs)))
-		}
-		s.jobsOn = true
-	}
-	i, _ := s.jobsIdx.Min()
-	return i
-}
-
-// noteJobs refreshes host i's standing in the idle freelist and (when
-// active) the jobs argmin; call after any change to its resident set.
-func (s *PSSystem) noteJobs(i int) {
-	if len(s.hosts[i].jobs) == 0 {
-		s.idle.Set(i)
-	} else {
-		s.idle.Clear(i)
-	}
-	if s.jobsOn {
-		s.jobsIdx.Update(i, float64(len(s.hosts[i].jobs)))
-	}
-}
-
-// Simulate runs the jobs (sorted by arrival) to completion, feeding
-// arrivals lazily exactly like System.Simulate.
-// Panics if the jobs are not sorted by arrival time or the policy routes
-// a job outside the host range.
-func (s *PSSystem) Simulate(jobs []workload.Job) {
-	prev := 0.0
-	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
-		}
-		prev = j.Arrival
-	}
-	s.feed = jobs
-	s.feedNext = 0
-	s.feedBase = s.engine.ReserveSeq(len(jobs))
-	s.feedNextArrival()
-	s.engine.Run()
-	s.feed = nil
-}
-
-// feedNextArrival schedules the next unscheduled arrival, if any.
-func (s *PSSystem) feedNextArrival() {
-	if s.feedNext >= len(s.feed) {
-		return
-	}
-	j := s.feed[s.feedNext]
-	s.engine.ScheduleReserved(j.Arrival, s.feedBase+uint64(s.feedNext), sim.Ev{Kind: evPSArrival, Job: j})
-	s.feedNext++
-}
-
 // HandleEvent dispatches the engine's typed events.
 // Panics if the policy routes a job outside the host range.
 //
 //sim:noalloc
-func (s *PSSystem) HandleEvent(now float64, ev sim.Ev) {
+func (s *psSystem) HandleEvent(now float64, ev sim.Ev) {
 	switch ev.Kind {
-	case evPSArrival:
+	case evArrival:
 		s.feedNextArrival()
 		idx := s.policy.Assign(ev.Job, s)
-		if idx < 0 || idx >= len(s.hosts) {
-			panic(fmt.Sprintf("server: PS policy %q returned host %d of %d",
-				s.policy.Name(), idx, len(s.hosts)))
-		}
+		s.checkHost(idx)
 		s.hosts[idx].add(ev.Job, now)
-		s.noteJobs(idx)
+		s.note(idx, len(s.hosts[idx].jobs))
 	case evPSComplete:
-		s.hosts[ev.Host].complete(now)
-		s.noteJobs(int(ev.Host))
+		h := &s.hosts[ev.Host]
+		h.complete(now)
+		s.note(h.index, len(h.jobs))
 	}
 }
 
-// RunPS simulates the job list on PS hosts and aggregates metrics like Run.
-// A record's Wait is the sharing-induced stretch (response minus size), so
-// Wait + Size = Response holds exactly as under FCFS.
-// The jobs slice is never written: hosts copy each job into host-local
-// pjob state, so callers may share one job list across concurrent runs
-// (the package's read-only input contract).
+// RunPS simulates the job list on PS hosts and aggregates metrics like Run,
+// on the same pooled engine runner; the result's PolicyName carries a
+// "/PS" suffix. A record's Wait is the sharing-induced stretch (response
+// minus size), so Wait + Size = Response holds exactly as under FCFS.
+// The jobs slice is never written: jobs are renumbered as they are fed,
+// so callers may share one job list across concurrent runs (the package's
+// read-only input contract).
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 //
 //sim:entry
 //sim:readonly jobs
 func RunPS(jobs []workload.Job, cfg Config) *Result {
-	if cfg.Hosts <= 0 {
-		panic(fmt.Sprintf("server: config needs hosts > 0, got %d", cfg.Hosts))
-	}
-	if cfg.WarmupFraction < 0 || cfg.WarmupFraction >= 1 {
-		panic(fmt.Sprintf("server: warmup fraction %v outside [0, 1)", cfg.WarmupFraction))
-	}
-	renumbered := renumber(jobs)
-	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
-	res := &Result{
-		PolicyName:  cfg.Policy.Name() + "/PS",
-		Hosts:       cfg.Hosts,
-		PerHostJobs: make([]int64, cfg.Hosts),
-		PerHostWork: make([]float64, cfg.Hosts),
-	}
-	if cfg.SizeClass != nil {
-		res.Classes = stats.NewClassTally()
-	}
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	if cfg.Interrupt != nil {
-		eng.SetCancelCheck(cfg.interruptEvery(), cfg.Interrupt)
-	}
-	sys := newPSOn(eng, cfg.Hosts, cfg.Policy, func(rec JobRecord) {
-		if cfg.OnRecord != nil {
-			cfg.OnRecord(rec)
-		}
-		res.PerHostJobs[rec.Host]++
-		if rec.Departure > res.Horizon {
-			res.Horizon = rec.Departure
-		}
-		if rec.ID < warmup {
-			return
-		}
-		slow := rec.Slowdown()
-		if slow < 1 {
-			slow = 1 // floating-point guard for lone jobs
-		}
-		res.Slowdown.Add(slow)
-		res.Response.Add(rec.Response())
-		res.Wait.Add(rec.Wait())
-		if res.Classes != nil {
-			res.Classes.Add(cfg.SizeClass(rec.Size), slow)
-		}
-		if cfg.KeepRecords {
-			res.Records = append(res.Records, rec)
-		}
-	})
-	sys.Simulate(renumbered)
-	res.Interrupted = eng.Interrupted()
-	for i, h := range sys.hosts {
-		res.PerHostWork[i] = h.workDone
-	}
-	return res
+	validateConfig(cfg)
+	return runEngine(jobs, cfg, true)
 }

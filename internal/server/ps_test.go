@@ -9,9 +9,14 @@ import (
 	"sita/internal/workload"
 )
 
+// newPS builds a PS server on a fresh engine for hand-driven tests.
+func newPS(h int, p Policy, onComplete func(JobRecord)) *psSystem {
+	return newPSOn(&sim.Engine{}, h, p, onComplete)
+}
+
 func TestPSSingleJob(t *testing.T) {
 	var recs []JobRecord
-	sys := NewPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
+	sys := newPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
 	sys.Simulate(jobs([2]float64{0, 10}))
 	if len(recs) != 1 {
 		t.Fatalf("completed %d jobs", len(recs))
@@ -25,7 +30,7 @@ func TestPSTwoJobsShareExactly(t *testing.T) {
 	// Two equal jobs arriving together each run at rate 1/2 and finish at
 	// 2x their size.
 	var recs []JobRecord
-	sys := NewPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
+	sys := newPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
 	sys.Simulate(jobs([2]float64{0, 10}, [2]float64{0, 10}))
 	if len(recs) != 2 {
 		t.Fatalf("completed %d jobs", len(recs))
@@ -43,7 +48,7 @@ func TestPSHandComputedSchedule(t *testing.T) {
 	// 2-4: both at rate 1/2; at t=4 B has 0 left and departs.
 	// 4-5: A alone finishes its last unit; departs at 5.
 	var recs []JobRecord
-	sys := NewPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
+	sys := newPS(1, toHost(0), func(r JobRecord) { recs = append(recs, r) })
 	sys.Simulate(jobs([2]float64{0, 4}, [2]float64{2, 1}))
 	byID := map[int]JobRecord{}
 	for _, r := range recs {
@@ -138,7 +143,7 @@ func TestPSSlowdownAtLeastOne(t *testing.T) {
 
 func TestPSViewMethods(t *testing.T) {
 	probe := &psProbe{t: t}
-	sys := NewPS(2, probe, nil)
+	sys := newPS(2, probe, nil)
 	sys.Simulate(jobs([2]float64{0, 10}, [2]float64{1, 10}))
 	if !probe.sawResident {
 		t.Fatal("probe never observed a resident job")
@@ -171,15 +176,18 @@ func (p *psProbe) Assign(_ workload.Job, v View) int {
 
 func TestPSValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewPS(0, toHost(0), nil) },
-		func() { NewPS(1, nil, nil) },
+		func() { newPS(0, toHost(0), nil) },
+		func() { newPS(1, nil, nil) },
 		func() { RunPS(nil, Config{Hosts: 0, Policy: toHost(0)}) },
+		func() { RunPS(nil, Config{Hosts: 1, Policy: toHost(0), WarmupFraction: math.NaN()}) },
+		func() { RunPS(nil, Config{Hosts: 1, Policy: toHost(0), WarmupFraction: -0.5}) },
+		func() { RunPS(nil, Config{Hosts: 1, Policy: toHost(0), WarmupFraction: 1.5}) },
 		func() {
-			sys := NewPS(1, toHost(5), nil)
+			sys := newPS(1, toHost(5), nil)
 			sys.Simulate(jobs([2]float64{0, 1}))
 		},
 		func() {
-			sys := NewPS(1, toHost(0), nil)
+			sys := newPS(1, toHost(0), nil)
 			sys.Simulate(jobs([2]float64{5, 1}, [2]float64{1, 1}))
 		},
 	} {

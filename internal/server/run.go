@@ -26,10 +26,10 @@ type Config struct {
 	// CentralOrder selects the central-queue discipline for pull policies
 	// (default CentralFCFS).
 	CentralOrder CentralOrder
-	// Interrupt, when non-nil, is polled every InterruptEvery simulated
-	// events (default 4096); when it reports true the simulation stops
-	// early and the Result carries Interrupted=true with statistics over
-	// the jobs completed so far. Serving paths use this to honor request
+	// Interrupt, when non-nil, is polled every 4096 simulated events;
+	// when it reports true the simulation stops early and the Result
+	// carries Interrupted=true with statistics over the jobs completed
+	// so far. Serving paths use this to honor request
 	// deadlines; batch paths leave it nil, which costs nothing and keeps
 	// output byte-identical. The callback must be cheap and must not
 	// block (e.g. a non-blocking context poll).
@@ -44,9 +44,6 @@ type Config struct {
 	// record past the call if it holds references (it does not — records
 	// are plain values).
 	OnRecord func(JobRecord)
-	// InterruptEvery overrides the polling interval in events (<= 0 means
-	// the default). Ignored when Interrupt is nil.
-	InterruptEvery int
 	// OrderCheck arms the event kernel's dispatch-order assertion
 	// (sim.Engine.SetOrderCheck) for the run: the engine panics if it
 	// ever fires an event out of (time, seq) order. Only meaningful on
@@ -56,18 +53,11 @@ type Config struct {
 	OrderCheck bool
 }
 
-// defaultInterruptEvery balances deadline latency against probe overhead:
-// at millions of events per second, 4096 events bound the reaction time to
-// well under a millisecond while keeping the poll far off the hot path.
-const defaultInterruptEvery = 4096
-
-// interruptEvery resolves the configured polling interval.
-func (c Config) interruptEvery() int {
-	if c.InterruptEvery > 0 {
-		return c.InterruptEvery
-	}
-	return defaultInterruptEvery
-}
+// interruptEvery is the Config.Interrupt polling interval in events. It
+// balances deadline latency against probe overhead: at millions of events
+// per second, 4096 events bound the reaction time to well under a
+// millisecond while keeping the poll far off the hot path.
+const interruptEvery = 4096
 
 // Result aggregates one run's metrics.
 //
@@ -138,7 +128,7 @@ func (r *Result) Utilization(i int) float64 {
 	return r.PerHostWork[i] / r.Horizon
 }
 
-// validateConfig checks the contracts shared by Run and RunDirect.
+// validateConfig checks the contracts shared by Run, RunDirect and RunPS.
 // Panics if cfg.Hosts <= 0 or cfg.WarmupFraction is outside [0, 1).
 func validateConfig(cfg Config) {
 	if cfg.Hosts <= 0 {
@@ -166,10 +156,10 @@ func newResult(cfg Config) *Result {
 }
 
 // observe folds one completed job into the result: per-host accounting
-// always, delay statistics past the warmup prefix. Both simulation paths
-// — the event-heap engine and the direct recurrence — emit records
-// through this single function, in the same order, so the accumulated
-// streams are bit-identical by construction.
+// always, delay statistics past the warmup prefix. The engine paths (FCFS
+// and PS) fold every record here, and the direct recurrence repeats the
+// same adds in the same order, so the accumulated streams are
+// bit-identical by construction.
 func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 	if cfg.OnRecord != nil {
 		cfg.OnRecord(rec)
@@ -182,11 +172,19 @@ func (res *Result) observe(rec JobRecord, warmup int, cfg *Config) {
 	if rec.ID < warmup {
 		return
 	}
-	res.Slowdown.Add(rec.Slowdown())
+	slow := rec.Slowdown()
+	// A PS job retired within tolerance (psHost.complete) can finish a
+	// hair early, so its slowdown can round below 1. On FCFS paths this
+	// never fires: Start >= Arrival makes (wait+size)/size >= 1 under
+	// monotone rounding, and a NaN passes through unchanged.
+	if slow < 1 {
+		slow = 1
+	}
+	res.Slowdown.Add(slow)
 	res.Response.Add(rec.Response())
 	res.Wait.Add(rec.Wait())
 	if res.Classes != nil {
-		res.Classes.Add(cfg.SizeClass(rec.Size), rec.Slowdown())
+		res.Classes.Add(cfg.SizeClass(rec.Size), slow)
 	}
 	if cfg.KeepRecords {
 		res.Records = append(res.Records, rec)
@@ -225,37 +223,42 @@ func Run(jobs []workload.Job, cfg Config) *Result {
 	if DirectEligible(cfg) {
 		return RunDirect(jobs, cfg)
 	}
-	return runEngine(jobs, cfg)
+	return runEngine(jobs, cfg, false)
 }
 
-// runEngine is the discrete-event path: every arrival and departure is an
-// event on the sim.Engine heap, which is what supports state-reading
-// policies, central-queue pulls, and cooperative interruption.
+// runEngine is the discrete-event path: every arrival and completion is an
+// event on a pooled sim.Engine heap, which is what supports state-reading
+// policies, central-queue pulls, and cooperative interruption. ps selects
+// Processor-Sharing hosts (RunPS) instead of the FCFS System.
 //
 //sim:readonly jobs
-func runEngine(jobs []workload.Job, cfg Config) *Result {
+func runEngine(jobs []workload.Job, cfg Config, ps bool) *Result {
 	warmup := int(cfg.WarmupFraction * float64(len(jobs)))
 	res := newResult(cfg)
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	if cfg.Interrupt != nil {
-		eng.SetCancelCheck(cfg.interruptEvery(), cfg.Interrupt)
+		eng.SetCancelCheck(interruptEvery, cfg.Interrupt)
 	}
 	if cfg.OrderCheck {
 		eng.SetOrderCheck(true)
 	}
-	sys := newSystemOn(eng, cfg.Hosts, cfg.Policy, cfg.CentralOrder, func(rec JobRecord) {
-		res.observe(rec, warmup, &cfg)
-	})
-	sys.Simulate(jobs)
+	done := func(rec JobRecord) { res.observe(rec, warmup, &cfg) }
+	if ps {
+		res.PolicyName += "/PS"
+		newPSOn(eng, cfg.Hosts, cfg.Policy, done).Simulate(jobs)
+	} else {
+		sys := newSystemOn(eng, cfg.Hosts, cfg.Policy, cfg.CentralOrder, done)
+		sys.Simulate(jobs)
+		res.MeanQueueLen = sys.MeanQueueLength()
+	}
 	res.Interrupted = eng.Interrupted()
-	res.MeanQueueLen = sys.MeanQueueLength()
 	return res
 }
 
-// renumber gives jobs arrival-order ordinals as their IDs. Job streams
-// from workload.Source already carry ordinal IDs, in which case the input
-// is returned as-is (Simulate never writes the slice); otherwise a
+// renumber gives the direct path's jobs arrival-order ordinals as their
+// IDs. Job streams from workload.Source already carry ordinal IDs, in
+// which case the input is returned as-is; otherwise a
 // renumbered copy is made so callers can share one job list across
 // concurrent runs.
 func renumber(jobs []workload.Job) []workload.Job {

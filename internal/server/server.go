@@ -14,8 +14,8 @@
 // server), always with one engine, one policy, and one Result per cell.
 //
 // Read-only input contract: Run and RunPS never write the jobs slice they
-// are given — the FCFS System renumbers each job value as it is fed, the
-// direct and PS paths copy first when renumbering is needed (see
+// are given — the FCFS and PS systems renumber each job value as it is
+// fed, the direct path copies first when renumbering is needed (see
 // renumber), and every path reads job values out of the feed without
 // aliasing slice elements. This is what lets internal/streamcache hand one
 // generated stream to every policy at a load point, copy-free and from
@@ -55,9 +55,8 @@ const (
 // Typed-event kinds for this package's simulations (the FCFS System and
 // the PS variant each own their engine, so one namespace serves both).
 const (
-	evArrival    uint8 = iota + 1 // Ev.Job arrives at the dispatcher
+	evArrival    uint8 = iota + 1 // Ev.Job arrives at the dispatcher (both systems)
 	evDepart                      // Ev.Job finishes on host Ev.Host (service began at Ev.T0)
-	evPSArrival                   // Ev.Job arrives at the PS dispatcher
 	evPSComplete                  // PS host Ev.Host reaches its next completion
 )
 
@@ -152,8 +151,6 @@ type host struct {
 	head    int
 	running bool
 	readyAt float64 // when all currently assigned work completes
-	// jobs counts queued+running.
-	jobs int
 }
 
 // queued reports how many jobs are waiting (excluding the one in service).
@@ -273,16 +270,12 @@ func (q *centralQueue) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// System is the simulated distributed server. Build with New, feed jobs in
-// arrival order via the Run functions.
-type System struct {
+// dispatcher is the state the FCFS System and the PS system share: the
+// engine, the policy, the lazy arrival feed, and each host's resident job
+// count with the indices behind the count-based View queries.
+type dispatcher struct {
 	engine *sim.Engine
-	hosts  []host
 	policy Policy
-
-	central centralQueue // dispatcher queue for pull policies
-
-	onComplete func(JobRecord)
 
 	// Lazy arrival feeding: Simulate keeps exactly one pending arrival
 	// event, so the event heap holds O(hosts) entries instead of the whole
@@ -293,73 +286,174 @@ type System struct {
 	feedNext int
 	feedBase uint64
 
-	// Little's-law accounting: time-integral of the number of waiting jobs
-	// (queued at hosts or held centrally, excluding jobs in service).
-	queueArea   float64
-	waitingJobs int
-	lastAccrual float64
-
-	// Host-selection indices. The idle freelist is always maintained (two
-	// bit operations per job); the work and jobs argmin indices activate
-	// on a policy's first MinWorkHost/MinJobsHost query, so policies that
-	// never ask pay nothing beyond the bitset. Once active they are
-	// updated incrementally — O(log h) per host state change, no
-	// allocations — by the place/depart/startNextCentral transitions.
-	idle    hostindex.BitSet   // hosts with no jobs at all
-	work    hostindex.TimedMin // hosts keyed by readyAt; drained class = idle
-	jobsIdx hostindex.Tree     // hosts keyed by their job count
-	workOn  bool
+	// Occupancy indices. The idle freelist is always maintained (two bit
+	// operations per job); the jobs argmin activates on a policy's first
+	// MinJobsHost query, so policies that never ask pay nothing beyond
+	// the bitset. Once active it is updated incrementally — O(log h) per
+	// host state change, no allocations — by note.
+	jobs    []int            // resident jobs per host (queued plus running)
+	idle    hostindex.BitSet // hosts with no jobs at all
+	jobsIdx hostindex.Tree   // hosts keyed by their job count
 	jobsOn  bool
-
-	killAt []float64 // per-host kill cutoffs of a Killing policy, else nil
 }
 
-// New builds a distributed server with h hosts and the given policy, using
-// a FCFS central queue.
-func New(h int, p Policy, onComplete func(JobRecord)) *System {
-	return NewWithOrder(h, p, CentralFCFS, onComplete)
-}
-
-// NewWithOrder builds a distributed server with an explicit central-queue
-// discipline. Panics if h < 1 or p is nil.
-func NewWithOrder(h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
+// init wires the dispatcher onto an engine (fresh or pooled) with h empty
+// hosts and makes handler the engine's event handler.
+// Panics if h < 1 or p is nil.
+func (d *dispatcher) init(eng *sim.Engine, h int, p Policy, handler sim.Handler) {
 	if h <= 0 {
 		panic(fmt.Sprintf("server: need at least one host, got %d", h))
 	}
 	if p == nil {
 		panic("server: nil policy")
 	}
-	return newSystemOn(&sim.Engine{}, h, p, order, onComplete)
+	d.engine = eng
+	d.policy = p
+	d.jobs = make([]int, h)
+	d.idle.Reset(h)
+	d.idle.SetAll()
+	eng.SetHandler(handler)
+}
+
+// View queries answered from the occupancy indices.
+
+// Hosts reports the host count.
+func (d *dispatcher) Hosts() int { return len(d.jobs) }
+
+// NumJobs reports the jobs resident at host i (queued plus running).
+func (d *dispatcher) NumJobs(i int) int { return d.jobs[i] }
+
+// Idle reports whether host i has no jobs.
+func (d *dispatcher) Idle(i int) bool { return d.jobs[i] == 0 }
+
+// NextIdleHost reports the lowest-indexed empty host, or -1.
+func (d *dispatcher) NextIdleHost() int { return d.idle.Min() }
+
+// MinJobsHost reports the host with the fewest jobs, ties to the lowest
+// index — the pick of a linear NumJobs scan, in O(log h). The first call
+// allocates the index; steady state is allocation-free.
+func (d *dispatcher) MinJobsHost() int {
+	if !d.jobsOn {
+		d.jobsIdx.Reset(len(d.jobs))
+		for i, n := range d.jobs {
+			d.jobsIdx.Update(i, float64(n))
+		}
+		d.jobsOn = true
+	}
+	i, _ := d.jobsIdx.Min()
+	return i
+}
+
+// note records that host i now holds n jobs, refreshing its standing in
+// the idle freelist and (when active) the jobs argmin.
+func (d *dispatcher) note(i, n int) {
+	d.jobs[i] = n
+	if n == 0 {
+		d.idle.Set(i)
+	} else {
+		d.idle.Clear(i)
+	}
+	if d.jobsOn {
+		d.jobsIdx.Update(i, float64(n))
+	}
+}
+
+// checkHost panics unless idx names a host: a policy returned it, so an
+// index outside the range is a contract violation by the Policy.
+func (d *dispatcher) checkHost(idx int) {
+	if idx < 0 || idx >= len(d.jobs) {
+		panic(fmt.Sprintf("server: policy %q returned host %d of %d", d.policy.Name(), idx, len(d.jobs)))
+	}
+}
+
+// Simulate runs the full job list through the system and waits for every
+// job to finish. Jobs must be sorted by arrival time; Simulate panics if
+// they are not. Jobs are renumbered by arrival order as they are fed (the
+// slice itself is never written), so records carry that ordinal as their
+// ID.
+//
+// Arrivals are fed lazily: exactly one arrival event is pending at any
+// instant, and firing it schedules the next, so the event heap stays
+// O(hosts) deep regardless of trace length. The arrivals' FIFO sequence
+// numbers are reserved as a block up front, which makes the event order —
+// and therefore every simulated record — identical to pre-scheduling the
+// whole trace.
+func (d *dispatcher) Simulate(jobs []workload.Job) {
+	prev := 0.0
+	for i, j := range jobs {
+		if j.Arrival < prev {
+			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
+		}
+		prev = j.Arrival
+	}
+	d.feed = jobs
+	d.feedNext = 0
+	d.feedBase = d.engine.ReserveSeq(len(jobs))
+	d.feedNextArrival()
+	d.engine.Run()
+	d.feed = nil
+}
+
+// feedNextArrival schedules the next unscheduled arrival, if any, as an
+// evArrival event carrying the job renumbered to its arrival ordinal.
+func (d *dispatcher) feedNextArrival() {
+	if d.feedNext >= len(d.feed) {
+		return
+	}
+	j := d.feed[d.feedNext]
+	j.ID = d.feedNext
+	d.engine.ScheduleReserved(j.Arrival, d.feedBase+uint64(d.feedNext), sim.Ev{Kind: evArrival, Job: j})
+	d.feedNext++
+}
+
+// System is the simulated distributed server of FCFS run-to-completion
+// hosts. Build with New, feed jobs in arrival order via Simulate.
+type System struct {
+	dispatcher
+	hosts []host
+
+	central centralQueue // dispatcher queue for pull policies
+
+	onComplete func(JobRecord)
+
+	// Little's-law accounting: time-integral of the number of waiting jobs
+	// (queued at hosts or held centrally, excluding jobs in service).
+	queueArea   float64
+	waitingJobs int
+	lastAccrual float64
+
+	// The work argmin activates on a policy's first MinWorkHost query and
+	// is kept current by the place/depart/startNextCentral transitions.
+	work   hostindex.TimedMin // hosts keyed by readyAt; drained class = idle
+	workOn bool
+
+	killAt []float64 // per-host kill cutoffs of a Killing policy, else nil
+}
+
+// New builds a distributed server with h hosts and the given policy, using
+// a FCFS central queue. Panics if h < 1 or p is nil.
+func New(h int, p Policy, onComplete func(JobRecord)) *System {
+	return newSystemOn(&sim.Engine{}, h, p, CentralFCFS, onComplete)
 }
 
 // newSystemOn wires a System onto an existing engine (fresh or pooled).
+// Panics if h < 1 or p is nil.
 func newSystemOn(eng *sim.Engine, h int, p Policy, order CentralOrder, onComplete func(JobRecord)) *System {
-	s := &System{
-		engine:     eng,
-		hosts:      make([]host, h),
-		policy:     p,
-		central:    centralQueue{order: order},
-		onComplete: onComplete,
-	}
+	s := &System{central: centralQueue{order: order}, onComplete: onComplete}
+	s.init(eng, h, p, s)
+	s.hosts = make([]host, h)
 	if k, ok := p.(Killing); ok {
 		s.killAt = make([]float64, h)
 		for i := range s.killAt {
 			s.killAt[i] = k.KillCutoff(i)
 		}
 	}
-	s.idle.Reset(h)
-	s.idle.SetAll()
-	eng.SetHandler(s)
 	return s
 }
 
-// View interface implementation: the System itself is the policy's view.
-
-// Hosts reports the host count.
-func (s *System) Hosts() int { return len(s.hosts) }
-
-// NumJobs reports queued+running jobs at host i.
-func (s *System) NumJobs(i int) int { return s.hosts[i].jobs }
+// View interface implementation: the System itself is the policy's view;
+// Hosts, NumJobs, Idle, NextIdleHost and MinJobsHost come from the
+// dispatcher.
 
 // WorkLeft reports remaining work at host i at the current instant.
 func (s *System) WorkLeft(i int) float64 {
@@ -369,12 +463,6 @@ func (s *System) WorkLeft(i int) float64 {
 	}
 	return left
 }
-
-// Idle reports whether host i is empty.
-func (s *System) Idle(i int) bool { return s.hosts[i].jobs == 0 }
-
-// NextIdleHost reports the lowest-indexed empty host, or -1.
-func (s *System) NextIdleHost() int { return s.idle.Min() }
 
 // MinWorkHost reports the host with the least unfinished work, ties to
 // the lowest index — the pick of a linear WorkLeft scan, in O(log h).
@@ -394,20 +482,6 @@ func (s *System) MinWorkHostIn(lo, hi int) int {
 	return s.work.ArgMinRange(lo, hi, s.engine.Now())
 }
 
-// MinJobsHost reports the host with the fewest jobs, ties to the lowest
-// index — the pick of a linear NumJobs scan, in O(log h).
-func (s *System) MinJobsHost() int {
-	if !s.jobsOn {
-		s.jobsIdx.Reset(len(s.hosts))
-		for i := range s.hosts {
-			s.jobsIdx.Update(i, float64(s.hosts[i].jobs))
-		}
-		s.jobsOn = true
-	}
-	i, _ := s.jobsIdx.Min()
-	return i
-}
-
 // buildWorkIndex activates the work argmin on a policy's first query:
 // hosts with work enter the tree keyed by their drain instant (readyAt),
 // empty hosts form the drained class. From here on every host state
@@ -415,50 +489,11 @@ func (s *System) MinJobsHost() int {
 func (s *System) buildWorkIndex() {
 	s.work.Reset(len(s.hosts))
 	for i := range s.hosts {
-		if s.hosts[i].jobs > 0 {
+		if s.jobs[i] > 0 {
 			s.work.SetKey(i, s.hosts[i].readyAt)
 		}
 	}
 	s.workOn = true
-}
-
-// Simulate runs the full job list through the system and waits for every
-// job to finish. Jobs must be sorted by arrival time; Simulate panics if
-// they are not. Jobs are renumbered by arrival order as they are fed (the
-// slice itself is never written), so records carry that ordinal as their
-// ID.
-//
-// Arrivals are fed lazily: exactly one arrival event is pending at any
-// instant, and firing it schedules the next, so the event heap stays
-// O(hosts) deep regardless of trace length. The arrivals' FIFO sequence
-// numbers are reserved as a block up front, which makes the event order —
-// and therefore every simulated record — identical to pre-scheduling the
-// whole trace.
-func (s *System) Simulate(jobs []workload.Job) {
-	prev := 0.0
-	for i, j := range jobs {
-		if j.Arrival < prev {
-			panic(fmt.Sprintf("server: job %d arrives at %v before %v", i, j.Arrival, prev))
-		}
-		prev = j.Arrival
-	}
-	s.feed = jobs
-	s.feedNext = 0
-	s.feedBase = s.engine.ReserveSeq(len(jobs))
-	s.feedNextArrival()
-	s.engine.Run()
-	s.feed = nil
-}
-
-// feedNextArrival schedules the next unscheduled arrival, if any.
-func (s *System) feedNextArrival() {
-	if s.feedNext >= len(s.feed) {
-		return
-	}
-	j := s.feed[s.feedNext]
-	j.ID = s.feedNext
-	s.engine.ScheduleReserved(j.Arrival, s.feedBase+uint64(s.feedNext), sim.Ev{Kind: evArrival, Job: j})
-	s.feedNext++
 }
 
 // HandleEvent dispatches the engine's typed events.
@@ -509,12 +544,9 @@ func (s *System) hold(job workload.Job, now float64) {
 //
 //sim:noalloc
 func (s *System) place(idx int, job workload.Job, now float64) {
-	if idx < 0 || idx >= len(s.hosts) {
-		panic(fmt.Sprintf("server: policy %q returned host %d of %d", s.policy.Name(), idx, len(s.hosts)))
-	}
+	s.checkHost(idx)
 	h := &s.hosts[idx]
-	h.jobs++
-	s.noteJobs(idx)
+	s.note(idx, s.jobs[idx]+1)
 	if h.running {
 		// The job's work joins the backlog now; start() must not add it
 		// again when the job is later dequeued.
@@ -525,7 +557,6 @@ func (s *System) place(idx int, job workload.Job, now float64) {
 		s.noteWork(idx)
 		return
 	}
-	s.idle.Clear(idx)
 	h.readyAt = now + s.runFor(idx, job.Size)
 	s.noteWork(idx)
 	s.start(idx, job, now)
@@ -565,8 +596,7 @@ func (s *System) start(idx int, job workload.Job, now float64) {
 func (s *System) depart(idx int, rec JobRecord, now float64) {
 	h := &s.hosts[idx]
 	h.running = false
-	h.jobs--
-	s.noteJobs(idx)
+	s.note(idx, s.jobs[idx]-1)
 	if s.runFor(idx, rec.Size) < rec.Size {
 		s.place(idx+1, workload.Job{ID: rec.ID, Arrival: rec.Arrival, Size: rec.Size}, now)
 	} else if s.onComplete != nil {
@@ -585,7 +615,6 @@ func (s *System) depart(idx int, rec JobRecord, now float64) {
 		s.startNextCentral(idx, now)
 		return
 	}
-	s.idle.Set(idx)
 	if s.workOn {
 		s.work.SetZero(idx)
 	}
@@ -596,20 +625,10 @@ func (s *System) startNextCentral(idx int, now float64) {
 	job := s.central.Pop()
 	s.accrueQueue(now)
 	s.waitingJobs--
-	s.idle.Clear(idx)
-	h := &s.hosts[idx]
-	h.jobs++
-	h.readyAt = now + s.runFor(idx, job.Size)
-	s.noteJobs(idx)
+	s.hosts[idx].readyAt = now + s.runFor(idx, job.Size)
+	s.note(idx, s.jobs[idx]+1)
 	s.noteWork(idx)
 	s.start(idx, job, now)
-}
-
-// noteJobs propagates host i's job count into the jobs argmin, when active.
-func (s *System) noteJobs(i int) {
-	if s.jobsOn {
-		s.jobsIdx.Update(i, float64(s.hosts[i].jobs))
-	}
 }
 
 // noteWork propagates host i's drain instant into the work argmin, when

@@ -131,6 +131,9 @@ func TestProcessorSharingRecordStream(t *testing.T) {
 	cfg := server.Config{
 		Hosts:  hosts,
 		Policy: policy.NewRoundRobin(),
+		// Also asserts (time, seq) dispatch order across every PS
+		// completion cancel-and-reschedule.
+		OrderCheck: true,
 		OnRecord: func(rec server.JobRecord) {
 			if seen[rec.ID] {
 				t.Fatalf("PS: job %d completed twice", rec.ID)

@@ -4,7 +4,7 @@
 # Runs the experiment-level benchmarks the perf PRs track (Table 1, the
 # h-sweep Figure 6, the analytic Figure 9), the per-policy simulator
 # throughput benchmark, the kernel micro-benchmarks in internal/sim, the
-# per-run TAGS benchmark, and the analytic-layer benchmarks (partial
+# per-run PS and TAGS benchmarks, and the analytic-layer benchmarks (partial
 # moments, cutoff searches), all with -benchmem so allocs/op regressions
 # are visible.
 #
@@ -51,6 +51,10 @@ count="${BENCH_COUNT:-5}"
     -count "$count" .
   go test -run '^$' -bench 'BenchmarkDirectReplayCore' -benchmem \
     -count "$count" ./internal/server/
+  # One Processor-Sharing run (C90, Least-Work-Left, load 0.8, 2 and 32
+  # hosts) through RunPS.
+  go test -run '^$' -bench 'BenchmarkRunPS' -benchmem -count "$count" \
+    ./internal/server/
   # One TAGS run on the server engine (C90, 2 hosts, load 0.5); the root
   # BenchmarkTAGS also times the cutoff search, this one only the run.
   go test -run '^$' -bench 'BenchmarkSimulate$' -benchmem -count "$count" \
